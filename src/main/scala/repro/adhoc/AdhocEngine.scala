@@ -48,13 +48,17 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
     metricRows.put((segment, metricId, date), (positions, values))
 
   /** Derive and cache the per-day expose bitmaps for the normal method from an
-    * already-loaded expose BSI (positions with `offset <= date - min + 1`).
+    * already-loaded expose BSI.
     */
-  def buildExposeBitmaps(segment: Int, strategyId: Long, dates: Seq[Int]): Unit = {
-    val (minDate, offset) = exposeBsi.get((segment, strategyId))
-    dates.foreach { d =>
-      exposeBitmaps.put((segment, strategyId, d), offset.leConst((d - minDate + 1).toLong))
-    }
+  def buildExposeBitmaps(segment: Int, strategyId: Long, dates: Seq[Int]): Unit =
+    dates.foreach(d => exposeBitmaps.put((segment, strategyId, d), exposeMask(segment, strategyId, d)))
+
+  /** Units of `segment` exposed to `strategyId` by `date`: the positions with
+    * `offset <= date - min_expose_date + 1`.
+    */
+  private def exposeMask(segment: Int, strategyId: Long, date: Int): RoaringBitmap = {
+    val (minDate, offset) = exposeBsi.getOrDefault((segment, strategyId), (0, BSI.empty))
+    offset.leConst((date - minDate + 1).toLong)
   }
 
   private def runSegmentParallel[T](f: Int => Seq[T]): Seq[T] = {
@@ -75,9 +79,8 @@ final class AdhocEngine(val nSegments: Int, nThreads: Int = Runtime.getRuntime.a
     mergeCells(runSegmentParallel { seg =>
       for {
         st <- strategyIds
-        (minDate, offset) = exposeBsi.getOrDefault((seg, st), (0, BSI.empty))
         d <- dates
-        expose = offset.leConst(math.max(0L, (d - minDate + 1).toLong))
+        expose = exposeMask(seg, st, d)
         m <- metricIds
       } yield {
         val value = metricBsi.getOrDefault((seg, m, d), BSI.empty)

@@ -42,7 +42,4 @@ object BSICodec {
     }
     BSI.fromSlices(slices)
   }
-
-  /** Serialize a bare binary bitmap as a one-slice BSI (filters, distinctPos). */
-  def serializeBitmap(bits: RoaringBitmap): Array[Byte] = serialize(BSI.fromBitmap(bits))
 }

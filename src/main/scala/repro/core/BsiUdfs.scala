@@ -23,6 +23,7 @@ import repro.bsi.{BSI, BSIAggregates, BSIBuilder, BSICodec}
   *   - `bsi_cmp_const(a, op, k)`         comparison against a constant → binary BSI
   *   - `bsi_sum/bsi_count/bsi_avg/bsi_min_value/bsi_max_value/bsi_median/bsi_ntile`
   *                                       in-BSI aggregates → scalar (§4.1.3)
+  *   - `bsi_filtered_sum(v, mask)`       Σ values of `v` at the positions of `mask` (§4.2)
   *   - `bsi_get(a, pos)`                 point lookup (tests/debug)
   *   - `bsi_bucket_stats(v, mask, bucket, n)` per-bucket (sum, exposed-count) rows (§4.2)
   */
@@ -33,10 +34,16 @@ object BsiUdfs {
     */
   final class Acc(var bsi: BSI, var seen: Boolean) extends Serializable
 
-  /** Typed aggregator turning `(pos, value)` rows into one serialized BSI. */
+  /** Typed aggregator turning `(pos, value)` rows into one serialized BSI.
+    * Positions must lie in Roaring's unsigned 32-bit range.
+    */
   final class BuildAgg extends Aggregator[(Long, Long), BSIBuilder, Array[Byte]] {
     def zero: BSIBuilder = new BSIBuilder
-    def reduce(b: BSIBuilder, in: (Long, Long)): BSIBuilder = b.addTo(in._1.toInt, in._2)
+    def reduce(b: BSIBuilder, in: (Long, Long)): BSIBuilder = {
+      require(in._1 >= 0 && in._1 <= 0xffffffffL,
+        s"BSI position ${in._1} outside Roaring's unsigned 32-bit range")
+      b.addTo(in._1.toInt, in._2)
+    }
     def merge(a: BSIBuilder, b: BSIBuilder): BSIBuilder = a.merge(b)
     def finish(b: BSIBuilder): Array[Byte] = BSICodec.serialize(b.result())
     def bufferEncoder: Encoder[BSIBuilder] = Encoders.javaSerialization[BSIBuilder]
@@ -44,14 +51,7 @@ object BsiUdfs {
   }
 
   /** Typed aggregator folding serialized BSIs with one of the §4.1.3 combines. */
-  final class CombineAgg(opName: String) extends Aggregator[Array[Byte], Acc, Array[Byte]] {
-    private def op(x: BSI, y: BSI): BSI = opName match {
-      case "sum"         => BSIAggregates.sumBSI(x, y)
-      case "mul"         => BSIAggregates.mulBSI(x, y)
-      case "max"         => BSIAggregates.maxBSI(x, y)
-      case "distinctPos" => BSIAggregates.distinctPos(x, y)
-      case other         => throw new IllegalArgumentException(s"unknown BSI combine: $other")
-    }
+  final class CombineAgg(op: (BSI, BSI) => BSI) extends Aggregator[Array[Byte], Acc, Array[Byte]] {
     def zero: Acc = new Acc(BSI.empty, seen = false)
     def reduce(a: Acc, in: Array[Byte]): Acc = {
       val b = BSICodec.deserialize(in)
@@ -92,10 +92,10 @@ object BsiUdfs {
     */
   def register(spark: SparkSession): Unit = {
     spark.udf.register("bsi_build", udaf(new BuildAgg))
-    spark.udf.register("bsi_sum_agg", udaf(new CombineAgg("sum")))
-    spark.udf.register("bsi_mul_agg", udaf(new CombineAgg("mul")))
-    spark.udf.register("bsi_max_agg", udaf(new CombineAgg("max")))
-    spark.udf.register("bsi_distinct_pos_agg", udaf(new CombineAgg("distinctPos")))
+    spark.udf.register("bsi_sum_agg", udaf(new CombineAgg(BSIAggregates.sumBSI)))
+    spark.udf.register("bsi_mul_agg", udaf(new CombineAgg(BSIAggregates.mulBSI)))
+    spark.udf.register("bsi_max_agg", udaf(new CombineAgg(BSIAggregates.maxBSI)))
+    spark.udf.register("bsi_distinct_pos_agg", udaf(new CombineAgg(BSIAggregates.distinctPos)))
 
     val de = BSICodec.deserialize _
     val se = BSICodec.serialize _
@@ -116,12 +116,13 @@ object BsiUdfs {
     spark.udf.register("bsi_median", (a: Array[Byte]) => de(a).median)
     spark.udf.register("bsi_ntile", (a: Array[Byte], q: Double) => de(a).ntile(q))
     spark.udf.register("bsi_get", (a: Array[Byte], pos: Int) => de(a).get(pos))
-    spark.udf.register("bsi_num_slices", (a: Array[Byte]) => de(a).numSlices)
-    spark.udf.register("bsi_size_bytes", (a: Array[Byte]) => de(a).sizeInBytes)
+    spark.udf.register("bsi_filtered_sum",
+      (value: Array[Byte], mask: Array[Byte]) => de(value).filteredSum(de(mask).existence))
 
-    // Per-bucket (sum of filtered values, exposed-unit count) within a segment:
-    // bucket b's positions are bucketBsi = b (constant equality on the bucket
-    // BSI); buckets with no exposed unit are omitted (they contribute zeros).
+    // Per-bucket (sum of values under the mask, exposed-unit count) within a
+    // segment: bucket b's positions are bucketBsi = b (constant equality on the
+    // bucket BSI); buckets with no exposed unit are omitted (they contribute
+    // zeros).
     spark.udf.register("bsi_bucket_stats",
       (value: Array[Byte], exposeMask: Array[Byte], bucket: Array[Byte], nBuckets: Int) => {
         val v = de(value); val m = de(exposeMask).existence; val bk = de(bucket)
@@ -130,7 +131,7 @@ object BsiUdfs {
           posB.and(m)
           val cnt = posB.getLongCardinality
           if (cnt == 0) None
-          else Some((b, v.andBinary(posB).sumValues, cnt))
+          else Some((b, v.filteredSum(posB), cnt))
         }
       })
   }

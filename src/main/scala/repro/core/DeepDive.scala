@@ -6,7 +6,9 @@ import org.apache.spark.sql.functions._
 /** Deep-dive analysis (§4.4): filter the expose log by predicates on dimension
   * logs before scoring, to surface heterogeneous effects. Each predicate turns
   * a dimension BSI into a binary filter BSI (`value = k`, `value > k`, …);
-  * filters are conjoined with `mulBSI` and multiplied into the expose BSIs.
+  * filters are conjoined with `mulBSI` and multiplied into the `offset` BSI,
+  * so the scorecard's expose mask, and every fused sum over it, covers only
+  * the filtered units.
   */
 object DeepDive {
 
@@ -36,8 +38,9 @@ object DeepDive {
   }
 
   /** Restrict the expose BSIs of the selected strategies to units passing the
-    * dimension filter: both `offset` and `bucket` are multiplied by the binary
-    * filter (the paper's `expose-date * dim-filter`).
+    * dimension filter: `offset` is multiplied by the binary filter (the
+    * paper's `expose-date * dim-filter`). `bucket` is left as is, because every
+    * expose mask, and so every bucket's sum and count, comes from `offset`.
     */
   def filteredExpose(exposeBsi: DataFrame, dimFilterDf: DataFrame,
                      strategyIds: Seq[Long]): DataFrame =
@@ -45,7 +48,6 @@ object DeepDive {
       .where(col("strategy_id").isin(strategyIds.map(java.lang.Long.valueOf): _*))
       .join(dimFilterDf, "segment_id")
       .withColumn("offset_bsi", expr("bsi_mul(offset_bsi, dim_filter)"))
-      .withColumn("bucket_bsi", expr("bsi_mul(bucket_bsi, dim_filter)"))
       .drop("dim_filter")
 
   /** Full deep-dive scorecard: filter expose by dimensions, then score. */

@@ -9,9 +9,8 @@ import repro.preagg.PreAggTree
 /** Pre-experiment computation (§4.3): the CUPED covariate is the metric summed
   * over the `C` days preceding the experiment start, obtained with `sumBSI`
   * over the daily value BSIs — optionally through the pre-aggregate tree of
-  * Fig. 6 — and then pushed through the same scorecard machinery with the
-  * expose filter wide open (every exposed unit was "exposed" relative to the
-  * pre-period).
+  * Fig. 6. The covariate's bucket values are the [[Scorecard]] run over that
+  * sum tagged with the analysis date, so every unit exposed by then counts.
   */
 object PreExperiment {
 
@@ -50,21 +49,6 @@ object PreExperiment {
       }
       .toDF("segment_id", "metric_id", "value_bsi")
   }
-
-  /** Per-bucket pre-period sums in the simple segment=bucket case: every
-    * exposed unit passes the filter (`expose-date <= someday` with someday at
-    * or after the last expose day), so the filter is the offset existence.
-    */
-  def bucketValuesSimple(exposeBsi: DataFrame, preSum: DataFrame): DataFrame =
-    exposeBsi
-      .join(preSum, "segment_id")
-      .withColumn("expose", expr("bsi_cmp_const(offset_bsi, '>=', 1)")) // all exposed units
-      .withColumn("filtered_value", expr("bsi_mul(value_bsi, expose)"))
-      .select(
-        col("strategy_id"), col("metric_id"),
-        col("segment_id").as("bucket_id"),
-        expr("bsi_sum(filtered_value)").as("bucket_sum"),
-        expr("bsi_count(expose)").as("exposed_cnt"))
 
   /** Collect a bucket-values DataFrame (strategy, metric, bucket, sum, cnt)
     * into [[Stats.BucketedMetric]]s keyed by (strategy, metric).

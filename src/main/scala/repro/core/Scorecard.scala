@@ -5,11 +5,12 @@ import org.apache.spark.sql.functions._
 
 /** Scorecard computation on the BSI representation (§4.2).
   *
-  * For each (strategy, metric, date) the pipeline mirrors the paper's SQL:
-  * the expose filter is a constant comparison on the `offset` BSI
-  * (`expose-date <= date  ⇔  offset <= date - min_expose_date + 1`), the
-  * filtered value is `value * expose` (multiplication by a binary BSI), and
-  * per-bucket sums/counts feed the statistical inference.
+  * Every cell is computed the same way: the expose mask is a constant
+  * comparison on the `offset` BSI
+  * (`expose-date <= date  ⇔  offset <= date - min_expose_date + 1`), built once
+  * per (segment, strategy, date) and shared by all metrics; each sum over it is
+  * the fused `filteredSum` (Σ 2^i·|slice_i ∧ mask|, O'Neil & Quass), so no
+  * filtered value BSI is ever materialized.
   *
   * Output grain: `(strategy_id, metric_id, date, bucket_id, bucket_sum,
   * exposed_cnt)` — `bucket_sum` is the sum of metric values over exposed units
@@ -20,41 +21,27 @@ object Scorecard {
 
   /** The common case where segmentation and bucketing coincide (§4.2's demo):
     * the segment id *is* the bucket id, so each joined (strategy, metric,
-    * date, segment) row yields exactly one bucket row with an in-BSI sum.
+    * date, segment) row yields exactly one bucket row.
     */
   def bucketValuesSimple(exposeBsi: DataFrame, metricBsi: DataFrame,
-                         dates: Seq[Int]): DataFrame = {
-    val dDf = datesDf(exposeBsi.sparkSession, dates)
-    exposeBsi
-      .join(metricBsi, "segment_id")
-      .join(dDf, col("date") === col("d"))
-      .withColumn("expose",
-        expr("bsi_cmp_const(offset_bsi, '<=', cast(d - min_expose_date + 1 as bigint))"))
-      .withColumn("filtered_value", expr("bsi_mul(value_bsi, expose)"))
+                         dates: Seq[Int]): DataFrame =
+    exposedMetrics(exposeBsi, metricBsi, dates)
       .select(
         col("strategy_id"), col("metric_id"), col("date"),
         col("segment_id").as("bucket_id"),
-        expr("bsi_sum(filtered_value)").as("bucket_sum"),
+        expr("bsi_filtered_sum(value_bsi, expose)").as("bucket_sum"),
         expr("bsi_count(expose)").as("exposed_cnt"))
-  }
 
   /** The general case (§4.2, segment ≠ bucket): per-segment per-bucket partial
     * sums via the bucket BSI, then merged across segments.
     */
   def bucketValuesBucketed(exposeBsi: DataFrame, metricBsi: DataFrame,
-                           dates: Seq[Int], nBuckets: Int): DataFrame = {
-    val dDf = datesDf(exposeBsi.sparkSession, dates)
-    exposeBsi
-      .join(metricBsi, "segment_id")
-      .join(dDf, col("date") === col("d"))
-      .withColumn("expose",
-        expr("bsi_cmp_const(offset_bsi, '<=', cast(d - min_expose_date + 1 as bigint))"))
-      .withColumn("filtered_value", expr("bsi_mul(value_bsi, expose)"))
+                           dates: Seq[Int], nBuckets: Int): DataFrame =
+    exposedMetrics(exposeBsi, metricBsi, dates)
       .withColumn("bs",
-        expr(s"explode(bsi_bucket_stats(filtered_value, expose, bucket_bsi, $nBuckets))"))
+        expr(s"explode(bsi_bucket_stats(value_bsi, expose, bucket_bsi, $nBuckets))"))
       .groupBy(col("strategy_id"), col("metric_id"), col("date"), col("bs._1").as("bucket_id"))
       .agg(sum(col("bs._2")).as("bucket_sum"), sum(col("bs._3")).as("exposed_cnt"))
-  }
 
   /** Roll bucket rows up to one scorecard row per (strategy, metric, date):
     * the metric value `Σ sum / Σ cnt` plus the bucket-replicate moments the
@@ -69,8 +56,17 @@ object Scorecard {
         count(lit(1)).as("n_buckets"))
       .withColumn("metric_value", col("total_sum") / col("total_cnt"))
 
-  private def datesDf(spark: org.apache.spark.sql.SparkSession, dates: Seq[Int]): DataFrame = {
+  /** The expose mask of every (segment, strategy, date), joined to the metric
+    * rows of that segment and date.
+    */
+  private def exposedMetrics(exposeBsi: DataFrame, metricBsi: DataFrame,
+                             dates: Seq[Int]): DataFrame = {
+    val spark = exposeBsi.sparkSession
     import spark.implicits._
-    dates.toDF("d")
+    exposeBsi
+      .crossJoin(dates.toDF("date"))
+      .withColumn("expose",
+        expr("bsi_cmp_const(offset_bsi, '<=', cast(date - min_expose_date + 1 as bigint))"))
+      .join(metricBsi, Seq("segment_id", "date"))
   }
 }

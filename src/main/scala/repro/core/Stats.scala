@@ -47,7 +47,9 @@ object Stats {
   }
 
   /** Result of a two-sample comparison: absolute/relative movement and the
-    * Welch t-test p-value the scorecard reports.
+    * Welch t-test p-value the scorecard reports. When the two arms' variances
+    * sum to zero there is no spread to test against: `tStat` is 0, `df` is 1
+    * and `pValue` is 1.
     */
   final case class TTestResult(meanTreatment: Double, meanControl: Double,
                                delta: Double, relativeDelta: Double,
@@ -56,17 +58,20 @@ object Stats {
   /** Welch t-test of treatment vs control means with bucket-derived variances
     * (each arm contributes B−1 degrees of freedom via Welch–Satterthwaite).
     */
-  def welchTTest(t: BucketedMetric, c: BucketedMetric): TTestResult = {
-    val mt = t.mean; val mc = c.mean
-    val vt = variance(t); val vc = variance(c)
-    val se = math.sqrt(vt + vc)
-    val tStat = (mt - mc) / se
-    val dfT = t.nBuckets - 1.0
-    val dfC = c.nBuckets - 1.0
-    val df = math.pow(vt + vc, 2) / (vt * vt / dfT + vc * vc / dfC)
-    val p =
-      if (se == 0) 1.0
-      else 2.0 * (1.0 - new TDistribution(math.max(1.0, df)).cumulativeProbability(math.abs(tStat)))
+  def welchTTest(t: BucketedMetric, c: BucketedMetric): TTestResult =
+    tTest(t.mean, variance(t), t.nBuckets, c.mean, variance(c), c.nBuckets)
+
+  /** t, Welch–Satterthwaite df and two-sided p from each arm's mean, variance
+    * of the mean and bucket count (zero total variance: see [[TTestResult]]).
+    */
+  private def tTest(mt: Double, vt: Double, bt: Int,
+                    mc: Double, vc: Double, bc: Int): TTestResult = {
+    val se = math.sqrt(math.max(0.0, vt + vc))
+    val tStat = if (se == 0) 0.0 else (mt - mc) / se
+    val df = if (vt + vc == 0) 1.0
+             else math.pow(vt + vc, 2) / (vt * vt / (bt - 1.0) + vc * vc / (bc - 1.0))
+    val p = if (se == 0) 1.0
+            else 2.0 * (1.0 - new TDistribution(math.max(1.0, df)).cumulativeProbability(math.abs(tStat)))
     TTestResult(mt, mc, mt - mc, (mt - mc) / mc, tStat, df, p)
   }
 
@@ -101,15 +106,7 @@ object Stats {
     val xBar  = (xT.totalSum + xC.totalSum) / (xT.totalCount + xC.totalCount)
     val (mt, vt) = cupedAdjust(yT, xT, theta, xBar)
     val (mc, vc) = cupedAdjust(yC, xC, theta, xBar)
-    val se = math.sqrt(math.max(0.0, vt + vc))
-    val tStat = if (se == 0) 0.0 else (mt - mc) / se
-    val dfT = yT.nBuckets - 1.0
-    val dfC = yC.nBuckets - 1.0
-    val df = if (vt + vc == 0) 1.0
-             else math.pow(vt + vc, 2) / (vt * vt / dfT + vc * vc / dfC)
-    val p = if (se == 0) 1.0
-            else 2.0 * (1.0 - new TDistribution(math.max(1.0, df)).cumulativeProbability(math.abs(tStat)))
-    TTestResult(mt, mc, mt - mc, (mt - mc) / mc, tStat, df, p)
+    tTest(mt, vt, yT.nBuckets, mc, vc, yC.nBuckets)
   }
 
   /** Assemble a [[BucketedMetric]] from sparse `(bucket_id, sum, cnt)` rows on

@@ -6,13 +6,6 @@ import org.apache.spark.sql.SparkSession
 /** Measurement helpers for the evaluation harness. */
 object Measure {
 
-  /** Wall-clock seconds of `body`. */
-  def wallSeconds[T](body: => T): (T, Double) = {
-    val t0 = System.nanoTime()
-    val r  = body
-    (r, (System.nanoTime() - t0) / 1e9)
-  }
-
   /** Total executor CPU seconds consumed by all Spark tasks that end while
     * `body` runs (the Table 7 "CPU hours" quantity, scaled to seconds).
     * Runs must not overlap — the listener is global.

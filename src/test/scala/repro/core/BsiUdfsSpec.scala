@@ -132,6 +132,26 @@ class BsiUdfsSpec extends SparkSpec {
       .toSet
     // bucket 1 holds even positions: masked values 1+3+5+7+9 = 25, count 5
     assert(rows == Set((1, 25L, 5L)))
+    // the unfiltered value gives the same stats; bsi_filtered_sum is their total
+    val raw = Seq((BSICodec.serialize(value), BSICodec.serialize(mask), BSICodec.serialize(bucket)))
+      .toDF("v", "m", "bk")
+      .select(expr("bsi_bucket_stats(v, m, bk, 2)"), expr("bsi_filtered_sum(v, m)"))
+      .collect().head
+    assert(raw.getSeq[Row](0).map(r => (r.getInt(0), r.getLong(1), r.getLong(2))).toSet == rows)
+    assert(raw.getLong(1) == 25L)
+  }
+
+  test("bsi_build rejects positions outside Roaring's unsigned 32-bit range") {
+    _reg
+    import spark.implicits._
+    // 2^32 + 5 would otherwise be narrowed onto position 5 and merge with it
+    for (pos <- Seq((1L << 32) + 5, -1L)) {
+      val df = Seq((1, 5L, 1L), (1, pos, 7L)).toDF("g", "pos", "value")
+        .groupBy("g").agg(expr("bsi_build(pos, value)").as("b"))
+      val e = intercept[Exception](df.collect())
+      val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+      assert(causes.exists(_.isInstanceOf[IllegalArgumentException]), s"position $pos: $e")
+    }
   }
 
   test("UDFs treat null binary as the empty BSI") {

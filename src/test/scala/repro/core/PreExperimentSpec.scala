@@ -15,6 +15,15 @@ class PreExperimentSpec extends SparkSpec {
   // 4-day pre-period (days 1..4)
   private val start = 5
   private val c     = 4
+  // the analysis date: both experiments expose on days 1–5, so every exposed
+  // unit is exposed by then
+  private val day   = 6
+
+  /** The covariate's bucket values: the scorecard over the pre-period sum
+    * tagged with the analysis date.
+    */
+  private def covariate = Scorecard.bucketValuesSimple(d.exposeBsi,
+    PreExperiment.preSumDirect(d.metricBsi, start, c).withColumn("date", lit(day)), Seq(day))
 
   test("preSumDirect equals preSumTree") {
     val direct = PreExperiment.preSumDirect(d.metricBsi, start, c)
@@ -55,8 +64,7 @@ class PreExperimentSpec extends SparkSpec {
   }
 
   test("pre-experiment bucket values match a DuckDB evaluation over all exposed units") {
-    val preSum = PreExperiment.preSumDirect(d.metricBsi, start, c)
-    val bv = PreExperiment.bucketValuesSimple(d.exposeBsi, preSum)
+    val bv = covariate
       .select(col("strategy_id").cast("long"), col("metric_id").cast("int"),
               col("bucket_id").cast("int"), col("bucket_sum").cast("long"),
               col("exposed_cnt").cast("long"))
@@ -87,12 +95,9 @@ class PreExperimentSpec extends SparkSpec {
     // (unit, date) so the unit-level correlation is weak but the machinery
     // must still produce finite, consistent adjustments.
     val y = PreExperiment.collectBucketed(
-      Scorecard.bucketValuesSimple(d.exposeBsi, d.metricBsi, Seq(6)),
+      Scorecard.bucketValuesSimple(d.exposeBsi, d.metricBsi, Seq(day)),
       TestFixtures.NSegments, firstBucketId = 0)
-    val x = PreExperiment.collectBucketed(
-      PreExperiment.bucketValuesSimple(d.exposeBsi, PreExperiment.preSumDirect(d.metricBsi, start, c))
-        .withColumn("date", lit(0)),
-      TestFixtures.NSegments, firstBucketId = 0)
+    val x = PreExperiment.collectBucketed(covariate, TestFixtures.NSegments, firstBucketId = 0)
     val s = TestFixtures.Strategies
     val spec = TestFixtures.Specs.head
     val r = Stats.cupedTTest(

@@ -88,6 +88,16 @@ class StatsSpec extends AnyFunSuite {
     assert(r.df > 1 && r.df <= 62)
   }
 
+  test("constant arms: Welch and CUPED both report t = 0, df = 1, p = 1") {
+    // every bucket sits exactly on its arm's mean, so both variances are 0
+    val t = BucketedMetric(Array(2.0, 4.0, 6.0), Array(1.0, 2.0, 3.0))
+    val c = BucketedMetric(Array(3.0, 6.0, 9.0), Array(1.0, 2.0, 3.0))
+    for (r <- Seq(welchTTest(t, c), cupedTTest(t, t, c, c))) {
+      assert(r.tStat == 0.0 && r.df == 1.0 && r.pValue == 1.0, s"$r")
+      assert(r.delta == -1.0)
+    }
+  }
+
   test("CUPED reduces variance when the covariate correlates") {
     // y = x + noise: pre-period metric x strongly predicts y
     def sim(seed: Long) = {

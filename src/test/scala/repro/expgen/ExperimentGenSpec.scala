@@ -104,6 +104,33 @@ class ExperimentGenSpec extends SparkSpec {
     counts.foreach(c => assert(math.abs(c - avg) / avg < 0.3))
   }
 
+  test("expose log has the documented schema") {
+    val e = ExperimentGen.exposeLog(spark, 1500,
+      ExperimentGen.twoArmStrategies(1, trafficPpm = 200000L, startDate = 1, nDays = 7), nBuckets = 64)
+    assert(e.columns.toSeq == Seq("strategy_id", "unit_id", "first_expose_date", "bucket_id"))
+    assert(e.count() > 0)
+    assert(e.select("strategy_id").distinct().count() == 2)
+  }
+
+  test("metric log has the documented schema") {
+    val m = ExperimentGen.metricLog(spark, 1500, ExperimentGen.coreMetricSpecs.take(3), 1 to 2)
+    assert(m.columns.toSeq == Seq("date", "metric_id", "unit_id", "value"))
+    assert(m.select("metric_id").distinct().count() == 3)
+    assert(m.agg(min("value")).collect().head.getLong(0) >= 1)
+  }
+
+  test("dimension log has the documented schema") {
+    val d = ExperimentGen.dimensionLog(spark, 1500, Seq(1))
+    assert(d.columns.toSeq == Seq("date", "dim_name", "unit_id", "value"))
+    assert(d.select("dim_name").distinct().count() == 2)
+  }
+
+  test("dictionary covers the universe with dense positions") {
+    val dict = ExperimentGen.dictionary(spark, 1500, nSegments = 4)
+    assert(dict.count() == 1500L)
+    assert(dict.agg(min("pos")).collect().head.getInt(0) == 0)
+  }
+
   test("participation scales with engagement (frequent users have more rows)") {
     val spec = ExperimentGen.MetricSpec(1, 100L, 300000L)
     val ml = ExperimentGen.metricLog(spark, 4000, Seq(spec), Seq(1, 2, 3, 4))
